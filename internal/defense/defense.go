@@ -15,11 +15,12 @@ package defense
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/codec"
-	"repro/internal/telemetry"
 	"repro/internal/fl"
+	"repro/internal/telemetry"
 	"repro/internal/vec"
 )
 
@@ -185,7 +186,7 @@ func krumScoresFrom(dist [][]float64, idx []int, f int) []float64 {
 				row = append(row, di[idx[j]])
 			}
 		}
-		sort.Float64s(row)
+		slices.SortFunc(row, cmpNaNLast)
 		s := 0.0
 		for k := 0; k < neighbours; k++ {
 			s += row[k]
@@ -290,7 +291,7 @@ func (b Bulyan) Aggregate(_ []float64, updates []fl.Update) ([]float64, fl.Selec
 		scores := krumScoresFrom(dist, remaining, b.F)
 		best := 0
 		for i, s := range scores {
-			if s < scores[best] {
+			if lessNaNLast(s, scores[best]) {
 				best = i
 			}
 		}
@@ -362,8 +363,26 @@ func argsort(scores []float64) []int {
 	for i := range order {
 		order[i] = i
 	}
-	sort.Slice(order, func(a, b int) bool { return scores[order[a]] < scores[order[b]] })
+	sort.Slice(order, func(a, b int) bool { return lessNaNLast(scores[order[a]], scores[order[b]]) })
 	return order
+}
+
+// lessNaNLast is the Krum family's ranking order: ascending, with NaN after
+// every number, so a non-finite distance or score ranks worst. A bare < is
+// not a total order once NaN is present, and sort.Float64s puts NaN first,
+// which would make a NaN distance the nearest neighbour. On finite inputs
+// it agrees with <, so finite rankings, ties included, keep their order.
+func lessNaNLast(a, b float64) bool { return a < b || (a == a && b != b) }
+
+// cmpNaNLast is lessNaNLast as a three-way comparison for slices.SortFunc.
+func cmpNaNLast(a, b float64) int {
+	switch {
+	case lessNaNLast(a, b):
+		return -1
+	case lessNaNLast(b, a):
+		return 1
+	}
+	return 0
 }
 
 // ByName resolves a defense by its canonical name; f is the server's assumed

@@ -355,3 +355,41 @@ func TestBulyanStage2(t *testing.T) {
 		t.Fatalf("Bulyan = %v, want ≈0.1", got[0])
 	}
 }
+
+// TestKrumFamilyNaNRanksWorst: an update with a single NaN coordinate has a
+// NaN distance to every other update. The Krum family must rank it worst —
+// never accept it, never let its NaN reach the aggregate — instead of
+// treating the NaN distance as the nearest neighbour.
+func TestKrumFamilyNaNRanksWorst(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	const n, dim, bad = 10, 50, 3
+	vs := make([][]float64, n)
+	for i := range vs {
+		vs[i] = make([]float64, dim)
+		for d := range vs[i] {
+			vs[i][d] = rng.NormFloat64()
+		}
+	}
+	vs[bad][17] = math.NaN()
+	for _, name := range []string{"krum", "mkrum", "bulyan"} {
+		agg, err := ByName(name, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, sel, err := agg.Aggregate(nil, mkUpdates(vs, nil))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for _, i := range sel.Accepted {
+			if i == bad {
+				t.Errorf("%s accepted the NaN update: %v", name, sel.Accepted)
+			}
+		}
+		for d, v := range out {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				t.Errorf("%s aggregate coordinate %d = %v", name, d, v)
+				break
+			}
+		}
+	}
+}

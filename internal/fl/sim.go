@@ -104,7 +104,7 @@ type Simulation struct {
 
 	clients []*BenignClient
 	global  *nn.Network
-	workers []*nn.Network
+	pool    *TrainPool
 	eval    *Evaluator
 }
 
@@ -152,20 +152,9 @@ func NewSimulation(cfg Config, train, test *dataset.Dataset, shards [][]int,
 		s.clients[i] = NewBenignClient(i, train, shards[i], nil, cfg.LR, cfg.LocalEpochs, cfg.BatchSize, rng)
 	}
 	s.global = newModel(rand.New(rand.NewSource(cfg.Seed)))
+	s.pool = NewTrainPool(newModel, cfg.Seed)
 	s.eval = NewEvaluator(test, cfg.EvalLimit)
 	return s, nil
-}
-
-// ensureWorkers grows the training worker pool to n reusable model
-// replicas, each with its own scratch arena. The replica weights are fully
-// overwritten at the start of every client's training, so the constructor
-// randomness is irrelevant.
-func (s *Simulation) ensureWorkers(n int) {
-	for len(s.workers) < n {
-		m := s.newModel(rand.New(rand.NewSource(s.cfg.Seed)))
-		m.SetScratch(tensor.NewPool())
-		s.workers = append(s.workers, m)
-	}
 }
 
 // GlobalWeights returns a copy of the current global weight vector.
@@ -248,27 +237,55 @@ func (s *Simulation) meanShardSize() int {
 }
 
 // trainBenign trains the selected benign clients on the bounded worker
-// pool: at most tensor.Workers() goroutines run, each owning one reused
-// model replica and arena. Serial and parallel execution produce identical
-// updates.
+// pool. Serial and parallel execution produce identical updates.
 func (s *Simulation) trainBenign(ids []int, global []float64) ([]Update, error) {
+	return s.pool.Train(ids, s.cfg.Parallel, func(id int, model *nn.Network) (Update, error) {
+		return s.clients[id].TrainWith(global, model)
+	})
+}
+
+// TrainPool is the bounded client-training worker pool of the in-process
+// simulations: at most tensor.Workers() goroutines run, each owning one
+// reused model replica with its own scratch arena. The replica weights are
+// fully overwritten at the start of every client's training, so the
+// constructor randomness is irrelevant.
+type TrainPool struct {
+	newModel func(rng *rand.Rand) *nn.Network
+	seed     int64
+	workers  []*nn.Network
+}
+
+// NewTrainPool returns an empty pool whose replicas newModel builds on
+// demand.
+func NewTrainPool(newModel func(rng *rand.Rand) *nn.Network, seed int64) *TrainPool {
+	return &TrainPool{newModel: newModel, seed: seed}
+}
+
+// Train returns train(ids[i], replica) for every i, in order: serially on
+// one replica, or with parallel set, fanned out over up to
+// tensor.Workers() replicas. The first error in ids order wins.
+func (p *TrainPool) Train(ids []int, parallel bool, train func(id int, model *nn.Network) (Update, error)) ([]Update, error) {
 	updates := make([]Update, len(ids))
 	if len(ids) == 0 {
 		return updates, nil
 	}
 	workers := 1
-	if s.cfg.Parallel {
+	if parallel {
 		workers = tensor.Workers()
 	}
 	if workers > len(ids) {
 		workers = len(ids)
 	}
-	s.ensureWorkers(workers)
+	for len(p.workers) < workers {
+		m := p.newModel(rand.New(rand.NewSource(p.seed)))
+		m.SetScratch(tensor.NewPool())
+		p.workers = append(p.workers, m)
+	}
 
 	if workers <= 1 {
-		model := s.workers[0]
+		model := p.workers[0]
 		for i, id := range ids {
-			u, err := s.clients[id].TrainWith(global, model)
+			u, err := train(id, model)
 			if err != nil {
 				return nil, err
 			}
@@ -282,13 +299,13 @@ func (s *Simulation) trainBenign(ids []int, global []float64) ([]Update, error) 
 	errs := make([]error, len(ids))
 	var next atomic.Int64
 	tensor.FanOut(workers, func(w int) {
-		model := s.workers[w]
+		model := p.workers[w]
 		for {
 			i := int(next.Add(1)) - 1
 			if i >= len(ids) {
 				return
 			}
-			updates[i], errs[i] = s.clients[ids[i]].TrainWith(global, model)
+			updates[i], errs[i] = train(ids[i], model)
 		}
 	})
 	for _, err := range errs {

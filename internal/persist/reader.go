@@ -1,10 +1,8 @@
 package persist
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
-	"io"
 	"os"
 )
 
@@ -18,47 +16,19 @@ type Entry struct {
 // taking the single-owner lock or mutating the file: the read-only view a
 // replay or dashboard service needs over a journal some past (or even
 // live) run produced. Lines appear in file order — for duplicate keys the
-// caller sees every version, unlike Journal's last-wins map — and a torn
-// final line is skipped exactly as Open would discard it, but corruption
-// followed by more data is a real error.
+// caller sees every version, unlike Journal's last-wins map. An
+// unterminated final line (a torn or in-flight append) is not consumed; a
+// damaged newline-terminated line is an error, as it is for every opener.
 func ReadEntries(path string) ([]Entry, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("persist: read journal: %w", err)
 	}
 	defer f.Close()
-	return readEntries(f, path)
-}
-
-func readEntries(r io.Reader, path string) ([]Entry, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 1<<20), 64<<20) // audit lines carry full per-update records
 	var out []Entry
-	var pendingErr error
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		raw := sc.Bytes()
-		if pendingErr != nil {
-			// Damage followed by more data is mid-file corruption, which no
-			// replay may silently skip.
-			return nil, pendingErr
-		}
-		if len(raw) == 0 {
-			continue
-		}
-		var line journalLine
-		if err := json.Unmarshal(raw, &line); err != nil || line.Key == "" {
-			pendingErr = fmt.Errorf("persist: journal %s line %d corrupt", path, lineNo)
-			continue
-		}
-		// Scanner reuses its buffer; the payload must own its bytes.
-		out = append(out, Entry{Key: line.Key, Payload: append(json.RawMessage(nil), line.Payload...)})
+	r := journalFile{path: path, f: f}
+	if err := r.scan(false, func(line journalLine) { out = append(out, Entry(line)) }); err != nil {
+		return nil, err
 	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("persist: journal read: %w", err)
-	}
-	// pendingErr still set here means the damage was the final line: the
-	// torn tail of a crash mid-append, which replay tolerates.
 	return out, nil
 }

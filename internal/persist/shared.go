@@ -1,14 +1,10 @@
 package persist
 
 import (
-	"bufio"
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"os"
-	"sync"
 )
 
 // ErrLeaseHeld reports that a journal (or a work-claiming lease inside one)
@@ -40,13 +36,7 @@ var ErrLeaseLost = errors.New("persist: lease lost to another owner")
 // workers reopens fine under OpenJournal (single-owner resume), and legacy
 // single-owner journals open fine here.
 type SharedJournal struct {
-	mu      sync.Mutex
-	path    string
-	f       *os.File
-	entries map[string]json.RawMessage
-	// off is the byte offset after the last intact line this process has
-	// replayed; refreshes scan forward from it.
-	off int64
+	journalFile
 }
 
 // OpenShared opens (creating if needed) the journal at path for
@@ -56,7 +46,7 @@ func OpenShared(path string) (*SharedJournal, error) {
 	if err != nil {
 		return nil, fmt.Errorf("persist: open shared journal: %w", err)
 	}
-	s := &SharedJournal{path: path, f: f, entries: make(map[string]json.RawMessage)}
+	s := &SharedJournal{journalFile{path: path, f: f, entries: make(map[string]json.RawMessage)}}
 	if err := s.Refresh(); err != nil {
 		_ = f.Close()
 		return nil, err
@@ -68,124 +58,27 @@ func OpenShared(path string) (*SharedJournal, error) {
 // shared lock. A torn tail (a writer crashed mid-append) is left in place —
 // only an exclusive-lock mutation may repair it — and simply not consumed.
 func (s *SharedJournal) Refresh() error {
+	return s.locked(false, func() error { return nil })
+}
+
+// locked runs op under the process mutex and the file lock — exclusive for
+// mutations, shared otherwise — after replaying the tail other writers
+// appended. Only the exclusive holder may repair a torn tail.
+func (s *SharedJournal) locked(exclusive bool, op func() error) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.f == nil {
-		return errors.New("persist: shared journal closed")
+		return errClosed
 	}
-	unlock, err := flockFile(s.f, s.path, false)
+	unlock, err := flockFile(s.f, s.path, exclusive)
 	if err != nil {
 		return err
 	}
 	defer unlock()
-	return s.replayLocked(false)
-}
-
-// replayLocked scans [s.off, EOF), applying intact lines to the view. With
-// repair set (exclusive lock held) a torn tail is truncated away and a tail
-// whose trailing newline was lost is terminated in place, exactly like the
-// single-owner journal's recovery.
-func (s *SharedJournal) replayLocked(repair bool) error {
-	st, err := s.f.Stat()
-	if err != nil {
-		return fmt.Errorf("persist: shared journal stat: %w", err)
+	if err := s.scan(exclusive, s.keep); err != nil {
+		return err
 	}
-	size := st.Size()
-	if size < s.off {
-		// Another writer repaired a tear that our view had already consumed
-		// past — impossible for intact lines (they are never rewritten), so
-		// our offset was inside the torn tail. Rescan from scratch.
-		s.off = 0
-		s.entries = make(map[string]json.RawMessage)
-	}
-	if size == s.off {
-		return nil
-	}
-	rd := bufio.NewReaderSize(io.NewSectionReader(s.f, s.off, size-s.off), 1<<20)
-	good := s.off
-	for {
-		raw, err := rd.ReadBytes('\n')
-		if err != nil && err != io.EOF {
-			return fmt.Errorf("persist: shared journal read: %w", err)
-		}
-		complete := len(raw) > 0 && raw[len(raw)-1] == '\n'
-		line := bytes.TrimSuffix(raw, []byte("\n"))
-		if len(line) > 0 {
-			var jl journalLine
-			if jerr := json.Unmarshal(line, &jl); jerr != nil || jl.Key == "" {
-				// Damage. At the tail it is a torn append (recoverable);
-				// anywhere earlier it is real corruption.
-				if complete || rd.Buffered() > 0 {
-					return fmt.Errorf("persist: shared journal %s corrupt at offset %d", s.path, good)
-				}
-				if repair {
-					if terr := s.f.Truncate(good); terr != nil {
-						return fmt.Errorf("persist: shared journal truncate: %w", terr)
-					}
-				}
-				s.off = good
-				return nil
-			}
-			if !complete {
-				// A valid final line missing only its newline: the tear ate
-				// exactly the terminator. Terminate it in place when allowed;
-				// until then leave it unconsumed.
-				if repair {
-					if _, werr := s.f.WriteAt([]byte{'\n'}, size); werr != nil {
-						return fmt.Errorf("persist: shared journal terminate: %w", werr)
-					}
-					s.entries[jl.Key] = jl.Payload
-					s.off = size + 1
-					return nil
-				}
-				s.off = good
-				return nil
-			}
-			s.entries[jl.Key] = jl.Payload
-		}
-		if err == io.EOF {
-			if complete || len(raw) == 0 {
-				good += int64(len(raw))
-			}
-			break
-		}
-		good += int64(len(raw))
-	}
-	s.off = good
-	return nil
-}
-
-// Lookup returns the most recent payload recorded under key in this
-// process's view (see Refresh for picking up other writers' appends).
-func (s *SharedJournal) Lookup(key string, payload any) (bool, error) {
-	s.mu.Lock()
-	raw, ok := s.entries[key]
-	s.mu.Unlock()
-	if !ok {
-		return false, nil
-	}
-	if err := json.Unmarshal(raw, payload); err != nil {
-		return false, fmt.Errorf("persist: shared journal decode %q: %w", key, err)
-	}
-	return true, nil
-}
-
-// Len reports the number of distinct keys in the current view.
-func (s *SharedJournal) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.entries)
-}
-
-// Keys returns the distinct keys in the current view, in no particular order.
-func (s *SharedJournal) Keys() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	keys := make([]string, 0, len(s.entries))
-	for k := range s.entries {
-		keys = append(keys, k)
-	}
-	return keys
+	return op()
 }
 
 // Tx is the view handed to an Update transaction: reads see the freshest
@@ -207,30 +100,16 @@ func (tx *Tx) Lookup(key string, payload any) (bool, error) {
 			return true, nil
 		}
 	}
-	return tx.s.lookupLocked(key, payload)
-}
-
-func (s *SharedJournal) lookupLocked(key string, payload any) (bool, error) {
-	raw, ok := s.entries[key]
-	if !ok {
-		return false, nil
-	}
-	if err := json.Unmarshal(raw, payload); err != nil {
-		return false, fmt.Errorf("persist: shared journal decode %q: %w", key, err)
-	}
-	return true, nil
+	return tx.s.get(key, payload)
 }
 
 // Append buffers one entry; it becomes durable iff the transaction commits.
 func (tx *Tx) Append(key string, payload any) error {
-	if key == "" {
-		return errors.New("persist: journal key must not be empty")
-	}
-	raw, err := json.Marshal(payload)
+	line, err := newLine(key, payload)
 	if err != nil {
-		return fmt.Errorf("persist: journal payload: %w", err)
+		return err
 	}
-	tx.appends = append(tx.appends, journalLine{Key: key, Payload: raw})
+	tx.appends = append(tx.appends, line)
 	return nil
 }
 
@@ -241,50 +120,13 @@ func (tx *Tx) Append(key string, payload any) error {
 // Concurrent Updates from any number of processes are therefore
 // linearizable — the basis of race-free work claiming.
 func (s *SharedJournal) Update(fn func(tx *Tx) error) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.f == nil {
-		return errors.New("persist: shared journal closed")
-	}
-	unlock, err := flockFile(s.f, s.path, true)
-	if err != nil {
-		return err
-	}
-	defer unlock()
-	if err := s.replayLocked(true); err != nil {
-		return err
-	}
-	tx := &Tx{s: s}
-	if err := fn(tx); err != nil {
-		return err
-	}
-	if len(tx.appends) == 0 {
-		return nil
-	}
-	var buf bytes.Buffer
-	for _, jl := range tx.appends {
-		line, err := json.Marshal(jl)
-		if err != nil {
-			return fmt.Errorf("persist: journal line: %w", err)
+	return s.locked(true, func() error {
+		tx := &Tx{s: s}
+		if err := fn(tx); err != nil || len(tx.appends) == 0 {
+			return err
 		}
-		buf.Write(line)
-		buf.WriteByte('\n')
-	}
-	if _, err := s.f.WriteAt(buf.Bytes(), s.off); err != nil {
-		// Roll partial bytes back so a later append lands on a clean line
-		// boundary; we hold the exclusive lock, so the truncate is safe.
-		_ = s.f.Truncate(s.off)
-		return fmt.Errorf("persist: shared journal write: %w", err)
-	}
-	if err := s.f.Sync(); err != nil {
-		_ = s.f.Truncate(s.off)
-		return fmt.Errorf("persist: shared journal sync: %w", err)
-	}
-	s.off += int64(buf.Len())
-	for _, jl := range tx.appends {
-		s.entries[jl.Key] = jl.Payload
-	}
-	return nil
+		return s.write(tx.appends, true)
+	})
 }
 
 // Append durably records payload under key (a single-entry Update).
@@ -295,12 +137,5 @@ func (s *SharedJournal) Append(key string, payload any) error {
 // Close releases the underlying file. No lock is held between operations,
 // so Close never blocks on other processes.
 func (s *SharedJournal) Close() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.f == nil {
-		return nil
-	}
-	err := s.f.Close()
-	s.f = nil
-	return err
+	return s.close(false, func() {})
 }

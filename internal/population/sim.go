@@ -5,12 +5,10 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
-	"sync/atomic"
 
 	"repro/internal/dataset"
 	"repro/internal/fl"
 	"repro/internal/nn"
-	"repro/internal/tensor"
 )
 
 // FloydSampler selects K of N clients uniformly without replacement in
@@ -74,9 +72,9 @@ type Simulation struct {
 	agg      fl.Aggregator
 	attack   fl.Attack
 
-	global  *nn.Network
-	workers []*nn.Network
-	eval    *fl.Evaluator
+	global *nn.Network
+	pool   *fl.TrainPool
+	eval   *fl.Evaluator
 }
 
 // NewSimulation wires a population, placement, model factory, aggregation
@@ -111,23 +109,13 @@ func NewSimulation(cfg fl.Config, train, test *dataset.Dataset, pop *Population,
 		attack:   attack,
 	}
 	s.global = newModel(rand.New(rand.NewSource(cfg.Seed)))
+	s.pool = fl.NewTrainPool(newModel, cfg.Seed)
 	s.eval = fl.NewEvaluator(test, cfg.EvalLimit)
 	return s, nil
 }
 
 // GlobalWeights returns a copy of the current global weight vector.
 func (s *Simulation) GlobalWeights() []float64 { return s.global.WeightVector() }
-
-// ensureWorkers grows the bounded training worker pool, mirroring
-// fl.Simulation: each worker owns one reused model replica with a scratch
-// arena.
-func (s *Simulation) ensureWorkers(n int) {
-	for len(s.workers) < n {
-		m := s.newModel(rand.New(rand.NewSource(s.cfg.Seed)))
-		m.SetScratch(tensor.NewPool())
-		s.workers = append(s.workers, m)
-	}
-}
 
 // popTransport exposes lazy-materialized client training as an engine
 // Transport.
@@ -140,7 +128,10 @@ type popTransport struct{ s *Simulation }
 // lazy analogue of fl.Simulation's persistent per-client RNGs, which cannot
 // exist for a million clients.
 func (t popTransport) Collect(round int, ids []int, global, _ []float64) ([]fl.Update, error) {
-	return t.s.trainBenign(round, ids, global)
+	s := t.s
+	return s.pool.Train(ids, s.cfg.Parallel, func(id int, model *nn.Network) (fl.Update, error) {
+		return s.trainClient(round, id, global, model)
+	})
 }
 
 // trainClient trains one virtual client on one worker model.
@@ -149,54 +140,6 @@ func (s *Simulation) trainClient(round, id int, global []float64, model *nn.Netw
 	rng := rand.New(rand.NewSource(mix64(uint64(s.cfg.Seed)^uint64(round)*0x9E3779B97F4A7C15, uint64(id)<<8|streamTrain)))
 	client := fl.NewBenignClient(id, s.train, shard, nil, s.cfg.LR, s.cfg.LocalEpochs, s.cfg.BatchSize, rng)
 	return client.TrainWith(global, model)
-}
-
-// trainBenign trains the selected clients on the bounded worker pool,
-// mirroring fl.Simulation.trainBenign.
-func (s *Simulation) trainBenign(round int, ids []int, global []float64) ([]fl.Update, error) {
-	updates := make([]fl.Update, len(ids))
-	if len(ids) == 0 {
-		return updates, nil
-	}
-	workers := 1
-	if s.cfg.Parallel {
-		workers = tensor.Workers()
-	}
-	if workers > len(ids) {
-		workers = len(ids)
-	}
-	s.ensureWorkers(workers)
-
-	if workers <= 1 {
-		model := s.workers[0]
-		for i, id := range ids {
-			u, err := s.trainClient(round, id, global, model)
-			if err != nil {
-				return nil, err
-			}
-			updates[i] = u
-		}
-		return updates, nil
-	}
-
-	errs := make([]error, len(ids))
-	var next atomic.Int64
-	tensor.FanOut(workers, func(w int) {
-		model := s.workers[w]
-		for {
-			i := int(next.Add(1)) - 1
-			if i >= len(ids) {
-				return
-			}
-			updates[i], errs[i] = s.trainClient(round, ids[i], global, model)
-		}
-	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return updates, nil
 }
 
 // Run executes the configured number of rounds on the shared round engine.
